@@ -178,44 +178,24 @@ BENCHMARK(BM_Conv1dForwardThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime(
 
 // --- Runtime-dispatch (nn/simd.hpp) per-backend rows ------------------
 //
-// Each *Simd benchmark is registered once per backend reported by
-// available_simd_backends() on this host (scalar always, then the vector
-// tiers worst-first — neon / avx2-fma / avx512 as the CPU allows), named
-// BM_*Simd/backend:<label>.  scripts/run_bench.sh divides every vector
-// row's real_time into the scalar row of the same kernel, producing the
-// per-backend "simd_speedup" section of BENCH_kernel.json; the acceptance
-// bar is >= 1.5x on at least one dispatched GEMM kernel
-// (docs/performance.md).  The BM_CnnFloatInferSimd /
-// BM_CnnFloatInferNoFuseSimd pair measures the fused bias+activation
-// epilogues end to end on the paper's CNN (same backend, fusion toggled),
-// feeding the "fused_speedup" section.
+// Each *Simd benchmark is registered twice: once in scalar mode and, when
+// the host has a vector tier, once in native mode, named
+// BM_*Simd/backend:<label> after the backend that runs (scalar, then
+// neon or avx2-fma).  scripts/run_bench.sh divides the native row's
+// real_time into the scalar row of the same kernel, producing the
+// "simd_speedup" section of BENCH_kernel.json; the acceptance bar is
+// >= 1.5x on at least one dispatched GEMM kernel (docs/performance.md).
 
-/// Pin dispatch to one resolved backend for a benchmark run: scalar pins
-/// scalar mode, any vector tier pins native mode capped at that backend.
-/// The destructor lifts the cap and restores whatever FALLSENSE_SIMD /
-/// FALLSENSE_SIMD_BACKEND resolved at startup.
-struct simd_backend_scope {
+/// Pin the dispatch mode for a benchmark run; the destructor restores
+/// whatever FALLSENSE_SIMD resolved at startup.
+struct simd_mode_scope {
     nn::simd_mode saved_mode = nn::active_simd_mode();
-    explicit simd_backend_scope(nn::simd_backend backend) {
-        nn::set_simd_backend_cap(backend);
-        nn::set_simd_mode(backend == nn::simd_backend::scalar ? nn::simd_mode::scalar
-                                                              : nn::simd_mode::native);
-    }
-    ~simd_backend_scope() {
-        nn::set_simd_backend_cap(nn::simd_backend::avx512);
-        nn::set_simd_mode(saved_mode);
-    }
+    explicit simd_mode_scope(nn::simd_mode mode) { nn::set_simd_mode(mode); }
+    ~simd_mode_scope() { nn::set_simd_mode(saved_mode); }
 };
 
-/// Epilogue-fusion toggle for the fused-vs-unfused CNN pair.
-struct fusion_scope {
-    bool saved = nn::epilogue_fusion_enabled();
-    explicit fusion_scope(bool enabled) { nn::set_epilogue_fusion(enabled); }
-    ~fusion_scope() { nn::set_epilogue_fusion(saved); }
-};
-
-void BM_GemmNNSimd(benchmark::State& state, nn::simd_backend backend) {
-    simd_backend_scope scope(backend);
+void BM_GemmNNSimd(benchmark::State& state, nn::simd_mode mode) {
+    simd_mode_scope scope(mode);
     const std::size_t m = 192, n = 192, k = 192;
     const nn::tensor a = random_tensor({m, k}, 6);
     const nn::tensor b = random_tensor({k, n}, 7);
@@ -227,8 +207,8 @@ void BM_GemmNNSimd(benchmark::State& state, nn::simd_backend backend) {
     state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(2 * m * n * k));
 }
 
-void BM_DenseForwardSimd(benchmark::State& state, nn::simd_backend backend) {
-    simd_backend_scope scope(backend);
+void BM_DenseForwardSimd(benchmark::State& state, nn::simd_mode mode) {
+    simd_mode_scope scope(mode);
     util::rng gen(1);
     nn::dense layer(912, 64, gen);
     const nn::tensor x = random_tensor({32, 912}, 2);
@@ -239,8 +219,8 @@ void BM_DenseForwardSimd(benchmark::State& state, nn::simd_backend backend) {
     state.SetItemsProcessed(state.iterations() * 32);
 }
 
-void BM_Conv1dForwardSimd(benchmark::State& state, nn::simd_backend backend) {
-    simd_backend_scope scope(backend);
+void BM_Conv1dForwardSimd(benchmark::State& state, nn::simd_mode mode) {
+    simd_mode_scope scope(mode);
     util::rng gen(3);
     nn::conv1d layer(3, 64, 3, gen);
     const nn::tensor x = random_tensor({32, 150, 3}, 4);
@@ -255,8 +235,8 @@ void BM_Conv1dForwardSimd(benchmark::State& state, nn::simd_backend backend) {
 // exact, so every vector row must produce bit-identical logits — these
 // rows measure what the vector kernels buy without changing a single
 // score.
-void BM_CnnInt8InferenceSimd(benchmark::State& state, nn::simd_backend backend) {
-    simd_backend_scope scope(backend);
+void BM_CnnInt8InferenceSimd(benchmark::State& state, nn::simd_mode mode) {
+    simd_mode_scope scope(mode);
     const std::size_t window = 40;
     auto net = core::build_fallsense_cnn(window, 9);
     const quant::cnn_spec spec = quant::extract_cnn_spec(*net, window);
@@ -270,14 +250,10 @@ void BM_CnnInt8InferenceSimd(benchmark::State& state, nn::simd_backend backend) 
 }
 
 // End-to-end float CNN inference through the model's planned workspace
-// path (nn::predict_proba_rows), with the fused conv/dense bias+ReLU
-// epilogues on (BM_CnnFloatInferSimd) or forced off
-// (BM_CnnFloatInferNoFuseSimd).  Same backend, same arena plan layout —
-// the ratio isolates what collapsing Conv→ReLU / Dense→ReLU into one
-// kernel call buys.
-void BM_CnnFloatInferSimd(benchmark::State& state, nn::simd_backend backend, bool fuse) {
-    simd_backend_scope scope(backend);
-    fusion_scope fusion(fuse);
+// path (nn::predict_proba_rows), with the conv/dense bias+ReLU epilogues
+// fused into the GEMM calls.
+void BM_CnnFloatInferSimd(benchmark::State& state, nn::simd_mode mode) {
+    simd_mode_scope scope(mode);
     const std::size_t window = 40;
     auto net = core::build_fallsense_cnn(window, 7);
     const nn::tensor rows = random_tensor({32, window, 9}, 8);
@@ -355,25 +331,26 @@ void BM_PreprocessTrial(benchmark::State& state) {
 }
 BENCHMARK(BM_PreprocessTrial);
 
-/// Register one row per probed backend for every dispatched kernel, plus
-/// the fused-vs-unfused float CNN pair.  Runtime registration (instead of
-/// the BENCHMARK macro) because the row set depends on what the host CPU
-/// reports at startup.
+/// Register the scalar row and, when the host has a vector tier, the
+/// native row for every dispatched kernel.  Runtime registration (instead
+/// of the BENCHMARK macro) because the row set depends on what the host
+/// CPU reports at startup.
 void register_simd_benchmarks() {
-    for (const nn::simd_backend backend : nn::available_simd_backends()) {
-        const std::string tag = std::string("/backend:") + nn::simd_backend_label(backend);
-        benchmark::RegisterBenchmark(("BM_GemmNNSimd" + tag).c_str(), BM_GemmNNSimd,
-                                     backend);
+    std::vector<nn::simd_mode> modes{nn::simd_mode::scalar};
+    if (nn::simd_native_available()) modes.push_back(nn::simd_mode::native);
+    for (const nn::simd_mode mode : modes) {
+        const std::string tag = std::string("/backend:") +
+                                (mode == nn::simd_mode::native ? nn::simd_backend_name()
+                                                               : "scalar");
+        benchmark::RegisterBenchmark(("BM_GemmNNSimd" + tag).c_str(), BM_GemmNNSimd, mode);
         benchmark::RegisterBenchmark(("BM_DenseForwardSimd" + tag).c_str(),
-                                     BM_DenseForwardSimd, backend);
+                                     BM_DenseForwardSimd, mode);
         benchmark::RegisterBenchmark(("BM_Conv1dForwardSimd" + tag).c_str(),
-                                     BM_Conv1dForwardSimd, backend);
+                                     BM_Conv1dForwardSimd, mode);
         benchmark::RegisterBenchmark(("BM_CnnInt8InferenceSimd" + tag).c_str(),
-                                     BM_CnnInt8InferenceSimd, backend);
+                                     BM_CnnInt8InferenceSimd, mode);
         benchmark::RegisterBenchmark(("BM_CnnFloatInferSimd" + tag).c_str(),
-                                     BM_CnnFloatInferSimd, backend, true);
-        benchmark::RegisterBenchmark(("BM_CnnFloatInferNoFuseSimd" + tag).c_str(),
-                                     BM_CnnFloatInferSimd, backend, false);
+                                     BM_CnnFloatInferSimd, mode);
     }
 }
 

@@ -10,7 +10,11 @@
 #      bench/kernel_micro by target name).  Paths under build/ are build
 #      outputs, not tree files, and are skipped.
 #   2. FALLSENSE_* names — every cited environment variable or CMake
-#      option must appear somewhere in the sources/build files.
+#      option must be consumed: a "FALLSENSE_X" string literal in src/,
+#      tools/ or bench/ C++, a $FALLSENSE_X / ${FALLSENSE_X expansion in
+#      scripts/*.sh, or an option()/set() in a CMakeLists.txt.  A name
+#      that only comments or prose mention fails, so a doc cannot keep
+#      citing a switch nothing reads.
 #   3. CLI flags — every --flag token appearing in tools/*.cpp (usage
 #      strings, option tables, header synopses) must be documented in
 #      README.md or docs/*.md, so a tool cannot grow a knob the docs
@@ -20,8 +24,8 @@
 #      fallsense_tests lines don't count) must exist in tools/*.cpp, so a
 #      doc cannot show an invocation the tools would reject.
 #   5. Benchmark rows — every BM_* token a doc cites must be defined in
-#      bench/*.cpp, so docs (the simd_speedup / fused_speedup /
-#      restore_latency tables in docs/performance.md in particular)
+#      bench/*.cpp, so docs (the simd_speedup / restore_latency
+#      tables in docs/performance.md in particular)
 #      cannot reference a row the harness no longer emits.
 #   6. Eval API surface — everything outside src/eval must include the
 #      eval/eval.hpp umbrella, never the per-module headers
@@ -35,7 +39,7 @@
 #   scripts/check_docs.sh --extra-doc F   # also check file F
 #   scripts/check_docs.sh --only F        # check only file F (internal)
 #   scripts/check_docs.sh --self-test     # verify the checker itself
-#                                         # rejects a doc with a bogus path
+#                                         # rejects bogus citations
 set -u
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -47,6 +51,7 @@ EXTRA_DOCS=()
 TOOLS_DIR=tools
 BENCH_DIR=bench
 INCLUDE_DIRS=(src tools bench tests examples)
+NAME_ROOT=.
 while [ $# -gt 0 ]; do
     case "$1" in
         --self-test) MODE=self-test ;;
@@ -55,6 +60,7 @@ while [ $# -gt 0 ]; do
         --tools-dir) TOOLS_DIR="$2"; shift ;;  # internal, for the self-test
         --bench-dir) BENCH_DIR="$2"; shift ;;  # internal, for the self-test
         --include-dirs) read -r -a INCLUDE_DIRS <<< "$2"; shift ;;  # internal
+        --name-root) NAME_ROOT="$2"; shift ;;  # internal, for the self-test
         *) echo "unknown argument: $1" >&2; exit 2 ;;
     esac
     shift
@@ -134,6 +140,28 @@ EOF
         cat "$tmp/inc.txt" >&2
         exit 1
     fi
+    # A name that only a comment mentions is not consumed: a doc citing
+    # it must be rejected, while a name read through a string literal
+    # passes.
+    mkdir -p "$tmp/names/src"
+    cat > "$tmp/names/src/switches.cpp" <<'EOF'
+// FALLSENSE_COMMENT_ONLY_SWITCH was retired; nothing reads it.
+const char* k_read = "FALLSENSE_CONSUMED_SWITCH";
+EOF
+    cat > "$tmp/names.md" <<'EOF'
+Set FALLSENSE_CONSUMED_SWITCH or FALLSENSE_COMMENT_ONLY_SWITCH.
+EOF
+    if "$0" --only "$tmp/names.md" --name-root "$tmp/names" > "$tmp/names.txt" 2>&1; then
+        echo "self-test FAILED: checker accepted a name only a comment mentions" >&2
+        cat "$tmp/names.txt" >&2
+        exit 1
+    fi
+    if ! grep -q "FALLSENSE_COMMENT_ONLY_SWITCH" "$tmp/names.txt" \
+            || grep -q "FALLSENSE_CONSUMED_SWITCH" "$tmp/names.txt"; then
+        echo "self-test FAILED: comment-only vs consumed names misreported" >&2
+        cat "$tmp/names.txt" >&2
+        exit 1
+    fi
     echo "self-test OK: bogus citations are rejected"
     exit 0
 fi
@@ -144,8 +172,21 @@ else
     DOCS=(README.md docs/*.md "${EXTRA_DOCS[@]+"${EXTRA_DOCS[@]}"}")
 fi
 
-# Where FALLSENSE_* names must be defined or consumed.
-NAME_SOURCES=(src tools bench scripts tests examples CMakeLists.txt)
+# True when something reads FALLSENSE_* name $1 (rule 2 above).
+# check_docs.sh itself is skipped: its self-test cites names on purpose.
+name_consumed() {
+    local v="$1" scripts cmake_files
+    grep -rqF --include='*.cpp' --include='*.hpp' -- "\"$v\"" \
+        "$NAME_ROOT/src" "$NAME_ROOT/tools" "$NAME_ROOT/bench" 2> /dev/null && return 0
+    mapfile -t scripts < <(find "$NAME_ROOT/scripts" -name '*.sh' ! -name check_docs.sh \
+        2> /dev/null)
+    [ "${#scripts[@]}" -gt 0 ] \
+        && grep -qE -- "\\\$\\{?$v([^A-Za-z0-9_]|\$)" "${scripts[@]}" && return 0
+    mapfile -t cmake_files < <(find "$NAME_ROOT" \( -name '.*' ! -name . -o -name 'build*' \) \
+        -prune -o -name CMakeLists.txt -print)
+    [ "${#cmake_files[@]}" -gt 0 ] \
+        && grep -qE -- "(option|set)\([[:space:]]*$v([^A-Za-z0-9_]|\$)" "${cmake_files[@]}"
+}
 
 errors=0
 report() {
@@ -193,12 +234,8 @@ for doc in "${DOCS[@]}"; do
 
     vars="$(grep -oE 'FALLSENSE_[A-Z_]+' "$doc" | sort -u || true)"
     for v in $vars; do
-        # --exclude this script: its self-test heredoc deliberately contains
-        # a bogus FALLSENSE_* name.
-        if ! grep -rq --include='*.cpp' --include='*.hpp' --include='*.sh' \
-                --include='*.txt' --include='*.cmake' --exclude=check_docs.sh \
-                -- "$v" "${NAME_SOURCES[@]}"; then
-            report "$doc: cited name not found in sources: $v"
+        if ! name_consumed "$v"; then
+            report "$doc: cited name not consumed by any source, script or CMakeLists.txt: $v"
         fi
     done
 done

@@ -13,10 +13,9 @@
 #   FALLSENSE_SIMD           kernel dispatch mode (scalar|native).  The
 #                            manifests record the RESOLVED backend this
 #                            requests on the build host (bench/simd_probe:
-#                            scalar / neon / avx2-fma / avx512), not the
-#                            requested mode.  The BM_*Simd rows pin the
-#                            backend per-row regardless of this setting.
-#   FALLSENSE_SIMD_BACKEND   caps the native backend tier (see nn/simd.hpp)
+#                            scalar / neon / avx2-fma), not the requested
+#                            mode.  The BM_*Simd rows pin the mode per-row
+#                            regardless of this setting.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -105,11 +104,12 @@ print_manifest() {
     printf '}'
 }
 
-# Dispatch speedups: kernel_micro registers each BM_*Simd benchmark once
-# per probed backend (BM_*Simd/backend:<label>); divide every vector row's
-# real_time into the scalar row of the same kernel, producing one ratio
-# object per kernel.  awk keeps the script free of JSON tooling —
-# google-benchmark emits one "name"/"real_time" pair per row.
+# Dispatch speedups: kernel_micro registers each BM_*Simd benchmark in
+# scalar mode and, on a host with a vector tier, in native mode
+# (BM_*Simd/backend:<label>); divide the vector row's real_time into the
+# scalar row of the same kernel, producing one ratio object per kernel.
+# awk keeps the script free of JSON tooling — google-benchmark emits one
+# "name"/"real_time" pair per row.
 simd_speedups() {
     awk '
         /"name":/ {
@@ -150,40 +150,6 @@ simd_speedups() {
                 }
                 if (inner != "") {
                     printf "%s  \"%s\": {%s}", sep, b, inner
-                    sep = ",\n"
-                }
-            }
-            printf "\n"
-        }
-    ' "$TMP_DIR/kernel_micro.json"
-}
-
-# Fused-epilogue speedup: the BM_CnnFloatInferSimd (fused bias+activation
-# epilogues) vs BM_CnnFloatInferNoFuseSimd (fusion disabled) pair, same
-# backend — unfused real_time / fused real_time per backend.
-fused_speedups() {
-    awk '
-        /"name":/ {
-            name = $0
-            sub(/.*"name": "/, "", name); sub(/".*/, "", name)
-        }
-        /"real_time":/ && name ~ /^BM_CnnFloatInfer(NoFuse)?Simd\/backend:[a-z0-9-]+$/ {
-            t = $0
-            sub(/.*"real_time": /, "", t); sub(/[,[:space:]].*/, "", t)
-            backend = name
-            sub(/.*\/backend:/, "", backend)
-            if (name ~ /NoFuse/) nofuse[backend] = t + 0
-            else {
-                fused[backend] = t + 0
-                if (!(backend in seen)) { seen[backend] = 1; order[n++] = backend }
-            }
-        }
-        END {
-            sep = ""
-            for (i = 0; i < n; i++) {
-                b = order[i]
-                if (fused[b] > 0 && nofuse[b] > 0) {
-                    printf "%s  \"%s\": %.3f", sep, b, nofuse[b] / fused[b]
                     sep = ",\n"
                 }
             }
@@ -233,17 +199,12 @@ restore_latency() {
     cat "$TMP_DIR/parallel_scaling.json"
     printf ',\n"simd_speedup": {\n'
     simd_speedups
-    printf '}'
-    printf ',\n"fused_speedup": {\n'
-    fused_speedups
     printf '}\n'
     printf '}\n'
 } > "$OUT"
 
 echo ">>> simd speedup (scalar real_time / backend real_time)"
 simd_speedups
-echo ">>> fused epilogue speedup (unfused real_time / fused real_time)"
-fused_speedups
 
 {
     printf '{\n'

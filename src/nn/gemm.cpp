@@ -46,27 +46,44 @@ constexpr std::size_t k_row_grain = 32;
 constexpr std::size_t k_reduce_grain = 256;
 constexpr std::size_t k_max_reduce_chunks = 16;
 
-/// One row quad [i, i+4) of C, k-outer: each pass over kk streams one
-/// contiguous row of B and feeds four C rows held hot in cache, so B is
-/// read once per quad instead of once per row.  C is updated in place
-/// (callers pre-fill it with bias or zero), keeping per-element additions
-/// in ascending-k order.
-inline void gemm_nn_row_quad(std::size_t i, std::size_t n, std::size_t k, const float* a,
-                             const float* b, float* c) {
-    const float* __restrict a0 = a + i * k;
-    const float* __restrict a1 = a0 + k;
-    const float* __restrict a2 = a1 + k;
-    const float* __restrict a3 = a2 + k;
+/// The A operand read through a (row stride, k stride) pair: element
+/// (i, kk) sits at data[i·row_stride + kk·k_stride].  gemm_nn reads
+/// row-major A[m x k] as (k, 1); gemm_tn_acc reads A[k x m] — i.e. Aᵀ —
+/// as (1, m).  One row kernel per ISA therefore serves both products.
+struct a_view {
+    const float* data;
+    std::size_t row_stride;
+    std::size_t k_stride;
+};
+
+// Every row kernel below updates C in place (callers seed it with bias,
+// zero, or prior contents), k-outer: each pass over kk streams one
+// contiguous row of B into the C rows held hot in cache, so B is read
+// once per quad instead of once per row.  Per (row, j) the update is one
+// multiply-add per reduction step in ascending k — separate mul+add in
+// the scalar kernels, one fmadd in the vector kernels — regardless of
+// lane width and of whether the row runs in the quad or the single-row
+// kernel, so a row's result is independent of its position in the batch
+// and of the thread count.
+
+/// Rows [i, i+4) of C += A·B.
+void gemm_row_quad(std::size_t i, std::size_t n, std::size_t k, a_view a, const float* b,
+                   float* c) {
+    const float* a0 = a.data + i * a.row_stride;
+    const float* a1 = a0 + a.row_stride;
+    const float* a2 = a1 + a.row_stride;
+    const float* a3 = a2 + a.row_stride;
     float* __restrict c0 = c + i * n;
     float* __restrict c1 = c0 + n;
     float* __restrict c2 = c1 + n;
     float* __restrict c3 = c2 + n;
     for (std::size_t kk = 0; kk < k; ++kk) {
         const float* __restrict bk = b + kk * n;
-        const float av0 = a0[kk];
-        const float av1 = a1[kk];
-        const float av2 = a2[kk];
-        const float av3 = a3[kk];
+        const std::size_t ak = kk * a.k_stride;
+        const float av0 = a0[ak];
+        const float av1 = a1[ak];
+        const float av2 = a2[ak];
+        const float av3 = a3[ak];
         for (std::size_t j = 0; j < n; ++j) {
             const float bv = bk[j];
             c0[j] += av0 * bv;
@@ -77,16 +94,20 @@ inline void gemm_nn_row_quad(std::size_t i, std::size_t n, std::size_t k, const 
     }
 }
 
-/// One row of C, k-outer (remainder path).
-inline void gemm_nn_row(std::size_t i, std::size_t n, std::size_t k, const float* a,
-                        const float* b, float* c) {
-    const float* __restrict ai = a + i * k;
+/// Row i of C += A·B (remainder path).
+void gemm_row(std::size_t i, std::size_t n, std::size_t k, a_view a, const float* b,
+              float* c) {
+    const float* ai = a.data + i * a.row_stride;
     float* __restrict ci = c + i * n;
     for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = ai[kk];
+        const float av = ai[kk * a.k_stride];
         const float* __restrict bk = b + kk * n;
         for (std::size_t j = 0; j < n; ++j) ci[j] += av * bk[j];
     }
+}
+
+void relu_span(float* c, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) c[i] = c[i] > 0.0f ? c[i] : 0.0f;
 }
 
 #if defined(FALLSENSE_SIMD_X86)
@@ -99,20 +120,16 @@ __attribute__((target("avx2"))) inline __m256i tail_mask(std::size_t rem) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k_lanes + 8 - rem));
 }
 
-// The vector row kernels mirror the scalar ones: k-outer, columns in
-// 8-lane (AVX2) or 16-lane (AVX-512) FMA strips with a masked strip for
-// the column tail.  Every (row, j) update is one fmadd(broadcast(a), b, c)
-// regardless of lane width and of whether the row runs in the quad or the
-// single-row kernel, so a row's result is independent of its position in
-// the batch, of the thread count, AND of which vector backend ran it.
+// AVX2+FMA: columns in 8-lane fmadd strips with a masked strip for the
+// column tail.
 
-__attribute__((target("avx2,fma"))) void gemm_nn_row_quad_avx2(std::size_t i, std::size_t n,
-                                                               std::size_t k, const float* a,
-                                                               const float* b, float* c) {
-    const float* a0 = a + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
+__attribute__((target("avx2,fma"))) void gemm_row_quad_avx2(std::size_t i, std::size_t n,
+                                                            std::size_t k, a_view a,
+                                                            const float* b, float* c) {
+    const float* a0 = a.data + i * a.row_stride;
+    const float* a1 = a0 + a.row_stride;
+    const float* a2 = a1 + a.row_stride;
+    const float* a3 = a2 + a.row_stride;
     float* c0 = c + i * n;
     float* c1 = c0 + n;
     float* c2 = c1 + n;
@@ -122,10 +139,11 @@ __attribute__((target("avx2,fma"))) void gemm_nn_row_quad_avx2(std::size_t i, st
     const __m256i mask = rem ? tail_mask(rem) : _mm256_setzero_si256();
     for (std::size_t kk = 0; kk < k; ++kk) {
         const float* bk = b + kk * n;
-        const __m256 av0 = _mm256_set1_ps(a0[kk]);
-        const __m256 av1 = _mm256_set1_ps(a1[kk]);
-        const __m256 av2 = _mm256_set1_ps(a2[kk]);
-        const __m256 av3 = _mm256_set1_ps(a3[kk]);
+        const std::size_t ak = kk * a.k_stride;
+        const __m256 av0 = _mm256_set1_ps(a0[ak]);
+        const __m256 av1 = _mm256_set1_ps(a1[ak]);
+        const __m256 av2 = _mm256_set1_ps(a2[ak]);
+        const __m256 av3 = _mm256_set1_ps(a3[ak]);
         for (std::size_t j = 0; j < n8; j += 8) {
             const __m256 bv = _mm256_loadu_ps(bk + j);
             _mm256_storeu_ps(c0 + j, _mm256_fmadd_ps(av0, bv, _mm256_loadu_ps(c0 + j)));
@@ -147,17 +165,17 @@ __attribute__((target("avx2,fma"))) void gemm_nn_row_quad_avx2(std::size_t i, st
     }
 }
 
-__attribute__((target("avx2,fma"))) void gemm_nn_row_avx2(std::size_t i, std::size_t n,
-                                                          std::size_t k, const float* a,
-                                                          const float* b, float* c) {
-    const float* ai = a + i * k;
+__attribute__((target("avx2,fma"))) void gemm_row_avx2(std::size_t i, std::size_t n,
+                                                       std::size_t k, a_view a, const float* b,
+                                                       float* c) {
+    const float* ai = a.data + i * a.row_stride;
     float* ci = c + i * n;
     const std::size_t n8 = n - n % 8;
     const std::size_t rem = n - n8;
     const __m256i mask = rem ? tail_mask(rem) : _mm256_setzero_si256();
     for (std::size_t kk = 0; kk < k; ++kk) {
         const float* bk = b + kk * n;
-        const __m256 av = _mm256_set1_ps(ai[kk]);
+        const __m256 av = _mm256_set1_ps(ai[kk * a.k_stride]);
         for (std::size_t j = 0; j < n8; j += 8) {
             const __m256 bv = _mm256_loadu_ps(bk + j);
             _mm256_storeu_ps(ci + j, _mm256_fmadd_ps(av, bv, _mm256_loadu_ps(ci + j)));
@@ -170,78 +188,8 @@ __attribute__((target("avx2,fma"))) void gemm_nn_row_avx2(std::size_t i, std::si
     }
 }
 
-__attribute__((target("avx512f"))) void gemm_nn_row_quad_avx512(std::size_t i, std::size_t n,
-                                                                std::size_t k, const float* a,
-                                                                const float* b, float* c) {
-    const float* a0 = a + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
-    float* c0 = c + i * n;
-    float* c1 = c0 + n;
-    float* c2 = c1 + n;
-    float* c3 = c2 + n;
-    const std::size_t n16 = n - n % 16;
-    const std::size_t rem = n - n16;
-    const __mmask16 mask = rem ? static_cast<__mmask16>((1u << rem) - 1u) : 0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const float* bk = b + kk * n;
-        const __m512 av0 = _mm512_set1_ps(a0[kk]);
-        const __m512 av1 = _mm512_set1_ps(a1[kk]);
-        const __m512 av2 = _mm512_set1_ps(a2[kk]);
-        const __m512 av3 = _mm512_set1_ps(a3[kk]);
-        for (std::size_t j = 0; j < n16; j += 16) {
-            const __m512 bv = _mm512_loadu_ps(bk + j);
-            _mm512_storeu_ps(c0 + j, _mm512_fmadd_ps(av0, bv, _mm512_loadu_ps(c0 + j)));
-            _mm512_storeu_ps(c1 + j, _mm512_fmadd_ps(av1, bv, _mm512_loadu_ps(c1 + j)));
-            _mm512_storeu_ps(c2 + j, _mm512_fmadd_ps(av2, bv, _mm512_loadu_ps(c2 + j)));
-            _mm512_storeu_ps(c3 + j, _mm512_fmadd_ps(av3, bv, _mm512_loadu_ps(c3 + j)));
-        }
-        if (rem) {
-            const __m512 bv = _mm512_maskz_loadu_ps(mask, bk + n16);
-            _mm512_mask_storeu_ps(
-                c0 + n16, mask,
-                _mm512_fmadd_ps(av0, bv, _mm512_maskz_loadu_ps(mask, c0 + n16)));
-            _mm512_mask_storeu_ps(
-                c1 + n16, mask,
-                _mm512_fmadd_ps(av1, bv, _mm512_maskz_loadu_ps(mask, c1 + n16)));
-            _mm512_mask_storeu_ps(
-                c2 + n16, mask,
-                _mm512_fmadd_ps(av2, bv, _mm512_maskz_loadu_ps(mask, c2 + n16)));
-            _mm512_mask_storeu_ps(
-                c3 + n16, mask,
-                _mm512_fmadd_ps(av3, bv, _mm512_maskz_loadu_ps(mask, c3 + n16)));
-        }
-    }
-}
-
-__attribute__((target("avx512f"))) void gemm_nn_row_avx512(std::size_t i, std::size_t n,
-                                                           std::size_t k, const float* a,
-                                                           const float* b, float* c) {
-    const float* ai = a + i * k;
-    float* ci = c + i * n;
-    const std::size_t n16 = n - n % 16;
-    const std::size_t rem = n - n16;
-    const __mmask16 mask = rem ? static_cast<__mmask16>((1u << rem) - 1u) : 0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const float* bk = b + kk * n;
-        const __m512 av = _mm512_set1_ps(ai[kk]);
-        for (std::size_t j = 0; j < n16; j += 16) {
-            const __m512 bv = _mm512_loadu_ps(bk + j);
-            _mm512_storeu_ps(ci + j, _mm512_fmadd_ps(av, bv, _mm512_loadu_ps(ci + j)));
-        }
-        if (rem) {
-            const __m512 bv = _mm512_maskz_loadu_ps(mask, bk + n16);
-            _mm512_mask_storeu_ps(
-                ci + n16, mask,
-                _mm512_fmadd_ps(av, bv, _mm512_maskz_loadu_ps(mask, ci + n16)));
-        }
-    }
-}
-
-/// Vector ReLU epilogues: max(x, 0) lane-wise.  max is exact, so the
-/// result matches the scalar `x > 0 ? x : 0` on every non-NaN input and
-/// is identical across vector backends.
+/// Vector ReLU epilogue: max(x, 0) lane-wise.  max is exact, so the
+/// result matches the scalar `x > 0 ? x : 0` on every non-NaN input.
 __attribute__((target("avx2"))) void relu_span_avx2(float* c, std::size_t count) {
     const __m256 zero = _mm256_setzero_ps();
     const std::size_t c8 = count - count % 8;
@@ -249,31 +197,21 @@ __attribute__((target("avx2"))) void relu_span_avx2(float* c, std::size_t count)
     for (; i < c8; i += 8) {
         _mm256_storeu_ps(c + i, _mm256_max_ps(_mm256_loadu_ps(c + i), zero));
     }
-    for (; i < count; ++i) c[i] = c[i] > 0.0f ? c[i] : 0.0f;
-}
-
-__attribute__((target("avx512f"))) void relu_span_avx512(float* c, std::size_t count) {
-    const __m512 zero = _mm512_setzero_ps();
-    const std::size_t c16 = count - count % 16;
-    std::size_t i = 0;
-    for (; i < c16; i += 16) {
-        _mm512_storeu_ps(c + i, _mm512_max_ps(_mm512_loadu_ps(c + i), zero));
-    }
-    for (; i < count; ++i) c[i] = c[i] > 0.0f ? c[i] : 0.0f;
+    relu_span(c + c8, count - c8);
 }
 
 #elif defined(FALLSENSE_SIMD_NEON)
 
-// NEON mirrors of the row kernels: 4-lane FMA strips, scalar fmaf tail.
-// The tail uses std::fmaf in both kernels so the per-(row, j) operation —
-// fused multiply-add — matches the vector lanes and the quad/single split.
+// NEON: 4-lane FMA strips, scalar fmaf tail.  The tail uses std::fmaf in
+// both kernels so the per-(row, j) operation — fused multiply-add —
+// matches the vector lanes and the quad/single split.
 
-void gemm_nn_row_quad_neon(std::size_t i, std::size_t n, std::size_t k, const float* a,
-                           const float* b, float* c) {
-    const float* a0 = a + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
+void gemm_row_quad_neon(std::size_t i, std::size_t n, std::size_t k, a_view a, const float* b,
+                        float* c) {
+    const float* a0 = a.data + i * a.row_stride;
+    const float* a1 = a0 + a.row_stride;
+    const float* a2 = a1 + a.row_stride;
+    const float* a3 = a2 + a.row_stride;
     float* c0 = c + i * n;
     float* c1 = c0 + n;
     float* c2 = c1 + n;
@@ -281,10 +219,11 @@ void gemm_nn_row_quad_neon(std::size_t i, std::size_t n, std::size_t k, const fl
     const std::size_t n4 = n - n % 4;
     for (std::size_t kk = 0; kk < k; ++kk) {
         const float* bk = b + kk * n;
-        const float32x4_t av0 = vdupq_n_f32(a0[kk]);
-        const float32x4_t av1 = vdupq_n_f32(a1[kk]);
-        const float32x4_t av2 = vdupq_n_f32(a2[kk]);
-        const float32x4_t av3 = vdupq_n_f32(a3[kk]);
+        const std::size_t ak = kk * a.k_stride;
+        const float32x4_t av0 = vdupq_n_f32(a0[ak]);
+        const float32x4_t av1 = vdupq_n_f32(a1[ak]);
+        const float32x4_t av2 = vdupq_n_f32(a2[ak]);
+        const float32x4_t av3 = vdupq_n_f32(a3[ak]);
         for (std::size_t j = 0; j < n4; j += 4) {
             const float32x4_t bv = vld1q_f32(bk + j);
             vst1q_f32(c0 + j, vfmaq_f32(vld1q_f32(c0 + j), av0, bv));
@@ -294,39 +233,72 @@ void gemm_nn_row_quad_neon(std::size_t i, std::size_t n, std::size_t k, const fl
         }
         for (std::size_t j = n4; j < n; ++j) {
             const float bv = bk[j];
-            c0[j] = std::fmaf(a0[kk], bv, c0[j]);
-            c1[j] = std::fmaf(a1[kk], bv, c1[j]);
-            c2[j] = std::fmaf(a2[kk], bv, c2[j]);
-            c3[j] = std::fmaf(a3[kk], bv, c3[j]);
+            c0[j] = std::fmaf(a0[ak], bv, c0[j]);
+            c1[j] = std::fmaf(a1[ak], bv, c1[j]);
+            c2[j] = std::fmaf(a2[ak], bv, c2[j]);
+            c3[j] = std::fmaf(a3[ak], bv, c3[j]);
         }
     }
 }
 
-void gemm_nn_row_neon(std::size_t i, std::size_t n, std::size_t k, const float* a,
-                      const float* b, float* c) {
-    const float* ai = a + i * k;
+void gemm_row_neon(std::size_t i, std::size_t n, std::size_t k, a_view a, const float* b,
+                   float* c) {
+    const float* ai = a.data + i * a.row_stride;
     float* ci = c + i * n;
     const std::size_t n4 = n - n % 4;
     for (std::size_t kk = 0; kk < k; ++kk) {
         const float* bk = b + kk * n;
-        const float32x4_t av = vdupq_n_f32(ai[kk]);
+        const float as = ai[kk * a.k_stride];
+        const float32x4_t av = vdupq_n_f32(as);
         for (std::size_t j = 0; j < n4; j += 4) {
             const float32x4_t bv = vld1q_f32(bk + j);
             vst1q_f32(ci + j, vfmaq_f32(vld1q_f32(ci + j), av, bv));
         }
-        for (std::size_t j = n4; j < n; ++j) ci[j] = std::fmaf(ai[kk], bk[j], ci[j]);
+        for (std::size_t j = n4; j < n; ++j) ci[j] = std::fmaf(as, bk[j], ci[j]);
     }
 }
 
 void relu_span_neon(float* c, std::size_t count) {
     const float32x4_t zero = vdupq_n_f32(0.0f);
     const std::size_t c4 = count - count % 4;
-    std::size_t i = 0;
-    for (; i < c4; i += 4) vst1q_f32(c + i, vmaxq_f32(vld1q_f32(c + i), zero));
-    for (; i < count; ++i) c[i] = c[i] > 0.0f ? c[i] : 0.0f;
+    for (std::size_t i = 0; i < c4; i += 4) vst1q_f32(c + i, vmaxq_f32(vld1q_f32(c + i), zero));
+    relu_span(c + c4, count - c4);
 }
 
 #endif  // FALLSENSE_SIMD_X86 / FALLSENSE_SIMD_NEON
+
+using row_kernel = void (*)(std::size_t i, std::size_t n, std::size_t k, a_view a,
+                            const float* b, float* c);
+
+/// One tier's float kernels: the quad and single-row GEMM updates and the
+/// ReLU epilogue.
+struct float_kernels {
+    row_kernel quad;
+    row_kernel row;
+    void (*relu)(float* c, std::size_t count);
+};
+
+const float_kernels& float_kernels_for(simd_backend backend) {
+    static constexpr float_kernels scalar{&gemm_row_quad, &gemm_row, &relu_span};
+#if defined(FALLSENSE_SIMD_X86)
+    static constexpr float_kernels avx2{&gemm_row_quad_avx2, &gemm_row_avx2, &relu_span_avx2};
+    if (backend == simd_backend::avx2_fma) return avx2;
+#elif defined(FALLSENSE_SIMD_NEON)
+    static constexpr float_kernels neon{&gemm_row_quad_neon, &gemm_row_neon, &relu_span_neon};
+    if (backend == simd_backend::neon) return neon;
+#else
+    (void)backend;
+#endif
+    return scalar;
+}
+
+/// Rows [r0, r1) of C += A·B: quads first, then the single-row remainder.
+void gemm_rows(std::size_t r0, std::size_t r1, std::size_t n, std::size_t k, a_view a,
+               const float* b, float* c, const float_kernels& kern) {
+    std::size_t i = r0;
+    for (; i + k_mr <= r1; i += k_mr) kern.quad(i, n, k, a, b, c);
+    for (; i < r1; ++i) kern.row(i, n, k, a, b, c);
+}
 
 /// Everything one gemm call's row tasks need.  The parallel dispatch
 /// lambda captures a single reference to this so the std::function stays
@@ -337,10 +309,10 @@ struct gemm_ctx {
     const float* a;
     const float* b;
     float* c;
-    const float* bias;  ///< when set, rows seed with bias (fused path)
-    bool accumulate;    ///< ignored when bias is set
-    fused_act act;      ///< epilogue applied per row block while hot
-    simd_backend backend;  ///< resolved once per call, shared by every row task
+    const float* bias;          ///< when set, rows seed with bias (fused path)
+    bool accumulate;            ///< ignored when bias is set
+    fused_act act;              ///< epilogue applied per row block while hot
+    const float_kernels* kern;  ///< resolved once per call, shared by every row task
 };
 
 /// Seed rows [r0, r1): bias broadcast (fused path), prior contents
@@ -360,66 +332,22 @@ void gemm_nn_seed_rows(std::size_t r0, std::size_t r1, const gemm_ctx& ctx) {
 }
 
 /// Fused epilogue over rows [r0, r1), applied while the block is hot.
-/// ReLU dispatches per backend (max is exact either way); sigmoid always
+/// ReLU runs the tier's kernel (max is exact either way); sigmoid always
 /// runs sigmoid_scalar per element so fused probabilities are identical
 /// in every mode.
 void gemm_nn_epilogue_rows(std::size_t r0, std::size_t r1, const gemm_ctx& ctx) {
-    if (ctx.act == fused_act::none) return;
     float* const base = ctx.c + r0 * ctx.n;
     const std::size_t count = (r1 - r0) * ctx.n;
-    if (ctx.act == fused_act::sigmoid) {
+    if (ctx.act == fused_act::relu) {
+        ctx.kern->relu(base, count);
+    } else if (ctx.act == fused_act::sigmoid) {
         for (std::size_t i = 0; i < count; ++i) base[i] = sigmoid_scalar(base[i]);
-        return;
     }
-#if defined(FALLSENSE_SIMD_X86)
-    if (ctx.backend == simd_backend::avx512) {
-        relu_span_avx512(base, count);
-        return;
-    }
-    if (ctx.backend == simd_backend::avx2_fma) {
-        relu_span_avx2(base, count);
-        return;
-    }
-#elif defined(FALLSENSE_SIMD_NEON)
-    if (ctx.backend == simd_backend::neon) {
-        relu_span_neon(base, count);
-        return;
-    }
-#endif
-    for (std::size_t i = 0; i < count; ++i) base[i] = base[i] > 0.0f ? base[i] : 0.0f;
 }
 
 void gemm_nn_rows(std::size_t r0, std::size_t r1, const gemm_ctx& ctx) {
-    const std::size_t n = ctx.n;
-    const std::size_t k = ctx.k;
-    const float* a = ctx.a;
-    const float* b = ctx.b;
-    float* c = ctx.c;
     gemm_nn_seed_rows(r0, r1, ctx);
-    std::size_t i = r0;
-#if defined(FALLSENSE_SIMD_X86)
-    if (ctx.backend == simd_backend::avx512) {
-        for (; i + k_mr <= r1; i += k_mr) gemm_nn_row_quad_avx512(i, n, k, a, b, c);
-        for (; i < r1; ++i) gemm_nn_row_avx512(i, n, k, a, b, c);
-        gemm_nn_epilogue_rows(r0, r1, ctx);
-        return;
-    }
-    if (ctx.backend == simd_backend::avx2_fma) {
-        for (; i + k_mr <= r1; i += k_mr) gemm_nn_row_quad_avx2(i, n, k, a, b, c);
-        for (; i < r1; ++i) gemm_nn_row_avx2(i, n, k, a, b, c);
-        gemm_nn_epilogue_rows(r0, r1, ctx);
-        return;
-    }
-#elif defined(FALLSENSE_SIMD_NEON)
-    if (ctx.backend == simd_backend::neon) {
-        for (; i + k_mr <= r1; i += k_mr) gemm_nn_row_quad_neon(i, n, k, a, b, c);
-        for (; i < r1; ++i) gemm_nn_row_neon(i, n, k, a, b, c);
-        gemm_nn_epilogue_rows(r0, r1, ctx);
-        return;
-    }
-#endif
-    for (; i + k_mr <= r1; i += k_mr) gemm_nn_row_quad(i, n, k, a, b, c);
-    for (; i < r1; ++i) gemm_nn_row(i, n, k, a, b, c);
+    gemm_rows(r0, r1, ctx.n, ctx.k, a_view{ctx.a, ctx.k, 1}, ctx.b, ctx.c, *ctx.kern);
     gemm_nn_epilogue_rows(r0, r1, ctx);
 }
 
@@ -428,242 +356,6 @@ void gemm_nn_dispatch(std::size_t m, const gemm_ctx& ctx) {
                               [&ctx](std::size_t, std::size_t lo, std::size_t hi) {
                                   gemm_nn_rows(lo, hi, ctx);
                               });
-}
-
-/// dst[i0..i1) rows (+)= A[k0..k1)ᵀ-slice · B[k0..k1)-slice, kk ascending
-/// per element.  Row-blocked like gemm_nn so the dst tile stays hot while
-/// B's slice streams through once per quad.
-void rank1_accumulate(float* dst, const float* a, const float* b, std::size_t k0,
-                      std::size_t k1, std::size_t i0, std::size_t i1, std::size_t m,
-                      std::size_t n) {
-    std::size_t i = i0;
-    for (; i + k_mr <= i1; i += k_mr) {
-        float* __restrict d0 = dst + i * n;
-        float* __restrict d1 = d0 + n;
-        float* __restrict d2 = d1 + n;
-        float* __restrict d3 = d2 + n;
-        for (std::size_t kk = k0; kk < k1; ++kk) {
-            const float* __restrict arow = a + kk * m + i;
-            const float* __restrict brow = b + kk * n;
-            const float av0 = arow[0];
-            const float av1 = arow[1];
-            const float av2 = arow[2];
-            const float av3 = arow[3];
-            for (std::size_t j = 0; j < n; ++j) {
-                const float bv = brow[j];
-                d0[j] += av0 * bv;
-                d1[j] += av1 * bv;
-                d2[j] += av2 * bv;
-                d3[j] += av3 * bv;
-            }
-        }
-    }
-    for (; i < i1; ++i) {
-        float* __restrict di = dst + i * n;
-        for (std::size_t kk = k0; kk < k1; ++kk) {
-            const float av = a[kk * m + i];
-            const float* __restrict brow = b + kk * n;
-            for (std::size_t j = 0; j < n; ++j) di[j] += av * brow[j];
-        }
-    }
-}
-
-#if defined(FALLSENSE_SIMD_X86)
-
-// Vector rank-1 mirrors for the gradient reduction: identical loop
-// structure and ascending-kk order, each (row, j) update one fmadd — so
-// per-chunk partials are bit-identical across thread counts (chunking is
-// shape-only) and across vector backends (same fmadd sequence).
-
-__attribute__((target("avx2,fma"))) void rank1_accumulate_avx2(
-    float* dst, const float* a, const float* b, std::size_t k0, std::size_t k1,
-    std::size_t i0, std::size_t i1, std::size_t m, std::size_t n) {
-    const std::size_t n8 = n - n % 8;
-    const std::size_t rem = n - n8;
-    const __m256i mask = rem ? tail_mask(rem) : _mm256_setzero_si256();
-    std::size_t i = i0;
-    for (; i + k_mr <= i1; i += k_mr) {
-        float* d0 = dst + i * n;
-        float* d1 = d0 + n;
-        float* d2 = d1 + n;
-        float* d3 = d2 + n;
-        for (std::size_t kk = k0; kk < k1; ++kk) {
-            const float* arow = a + kk * m + i;
-            const float* brow = b + kk * n;
-            const __m256 av0 = _mm256_set1_ps(arow[0]);
-            const __m256 av1 = _mm256_set1_ps(arow[1]);
-            const __m256 av2 = _mm256_set1_ps(arow[2]);
-            const __m256 av3 = _mm256_set1_ps(arow[3]);
-            for (std::size_t j = 0; j < n8; j += 8) {
-                const __m256 bv = _mm256_loadu_ps(brow + j);
-                _mm256_storeu_ps(d0 + j, _mm256_fmadd_ps(av0, bv, _mm256_loadu_ps(d0 + j)));
-                _mm256_storeu_ps(d1 + j, _mm256_fmadd_ps(av1, bv, _mm256_loadu_ps(d1 + j)));
-                _mm256_storeu_ps(d2 + j, _mm256_fmadd_ps(av2, bv, _mm256_loadu_ps(d2 + j)));
-                _mm256_storeu_ps(d3 + j, _mm256_fmadd_ps(av3, bv, _mm256_loadu_ps(d3 + j)));
-            }
-            if (rem) {
-                const __m256 bv = _mm256_maskload_ps(brow + n8, mask);
-                _mm256_maskstore_ps(d0 + n8, mask,
-                                    _mm256_fmadd_ps(av0, bv,
-                                                    _mm256_maskload_ps(d0 + n8, mask)));
-                _mm256_maskstore_ps(d1 + n8, mask,
-                                    _mm256_fmadd_ps(av1, bv,
-                                                    _mm256_maskload_ps(d1 + n8, mask)));
-                _mm256_maskstore_ps(d2 + n8, mask,
-                                    _mm256_fmadd_ps(av2, bv,
-                                                    _mm256_maskload_ps(d2 + n8, mask)));
-                _mm256_maskstore_ps(d3 + n8, mask,
-                                    _mm256_fmadd_ps(av3, bv,
-                                                    _mm256_maskload_ps(d3 + n8, mask)));
-            }
-        }
-    }
-    for (; i < i1; ++i) {
-        float* di = dst + i * n;
-        for (std::size_t kk = k0; kk < k1; ++kk) {
-            const float* brow = b + kk * n;
-            const __m256 av = _mm256_set1_ps(a[kk * m + i]);
-            for (std::size_t j = 0; j < n8; j += 8) {
-                const __m256 bv = _mm256_loadu_ps(brow + j);
-                _mm256_storeu_ps(di + j, _mm256_fmadd_ps(av, bv, _mm256_loadu_ps(di + j)));
-            }
-            if (rem) {
-                const __m256 bv = _mm256_maskload_ps(brow + n8, mask);
-                _mm256_maskstore_ps(di + n8, mask,
-                                    _mm256_fmadd_ps(av, bv,
-                                                    _mm256_maskload_ps(di + n8, mask)));
-            }
-        }
-    }
-}
-
-__attribute__((target("avx512f"))) void rank1_accumulate_avx512(
-    float* dst, const float* a, const float* b, std::size_t k0, std::size_t k1,
-    std::size_t i0, std::size_t i1, std::size_t m, std::size_t n) {
-    const std::size_t n16 = n - n % 16;
-    const std::size_t rem = n - n16;
-    const __mmask16 mask = rem ? static_cast<__mmask16>((1u << rem) - 1u) : 0;
-    std::size_t i = i0;
-    for (; i + k_mr <= i1; i += k_mr) {
-        float* d0 = dst + i * n;
-        float* d1 = d0 + n;
-        float* d2 = d1 + n;
-        float* d3 = d2 + n;
-        for (std::size_t kk = k0; kk < k1; ++kk) {
-            const float* arow = a + kk * m + i;
-            const float* brow = b + kk * n;
-            const __m512 av0 = _mm512_set1_ps(arow[0]);
-            const __m512 av1 = _mm512_set1_ps(arow[1]);
-            const __m512 av2 = _mm512_set1_ps(arow[2]);
-            const __m512 av3 = _mm512_set1_ps(arow[3]);
-            for (std::size_t j = 0; j < n16; j += 16) {
-                const __m512 bv = _mm512_loadu_ps(brow + j);
-                _mm512_storeu_ps(d0 + j, _mm512_fmadd_ps(av0, bv, _mm512_loadu_ps(d0 + j)));
-                _mm512_storeu_ps(d1 + j, _mm512_fmadd_ps(av1, bv, _mm512_loadu_ps(d1 + j)));
-                _mm512_storeu_ps(d2 + j, _mm512_fmadd_ps(av2, bv, _mm512_loadu_ps(d2 + j)));
-                _mm512_storeu_ps(d3 + j, _mm512_fmadd_ps(av3, bv, _mm512_loadu_ps(d3 + j)));
-            }
-            if (rem) {
-                const __m512 bv = _mm512_maskz_loadu_ps(mask, brow + n16);
-                _mm512_mask_storeu_ps(
-                    d0 + n16, mask,
-                    _mm512_fmadd_ps(av0, bv, _mm512_maskz_loadu_ps(mask, d0 + n16)));
-                _mm512_mask_storeu_ps(
-                    d1 + n16, mask,
-                    _mm512_fmadd_ps(av1, bv, _mm512_maskz_loadu_ps(mask, d1 + n16)));
-                _mm512_mask_storeu_ps(
-                    d2 + n16, mask,
-                    _mm512_fmadd_ps(av2, bv, _mm512_maskz_loadu_ps(mask, d2 + n16)));
-                _mm512_mask_storeu_ps(
-                    d3 + n16, mask,
-                    _mm512_fmadd_ps(av3, bv, _mm512_maskz_loadu_ps(mask, d3 + n16)));
-            }
-        }
-    }
-    for (; i < i1; ++i) {
-        float* di = dst + i * n;
-        for (std::size_t kk = k0; kk < k1; ++kk) {
-            const float* brow = b + kk * n;
-            const __m512 av = _mm512_set1_ps(a[kk * m + i]);
-            for (std::size_t j = 0; j < n16; j += 16) {
-                const __m512 bv = _mm512_loadu_ps(brow + j);
-                _mm512_storeu_ps(di + j, _mm512_fmadd_ps(av, bv, _mm512_loadu_ps(di + j)));
-            }
-            if (rem) {
-                const __m512 bv = _mm512_maskz_loadu_ps(mask, brow + n16);
-                _mm512_mask_storeu_ps(
-                    di + n16, mask,
-                    _mm512_fmadd_ps(av, bv, _mm512_maskz_loadu_ps(mask, di + n16)));
-            }
-        }
-    }
-}
-
-#elif defined(FALLSENSE_SIMD_NEON)
-
-void rank1_accumulate_neon(float* dst, const float* a, const float* b, std::size_t k0,
-                           std::size_t k1, std::size_t i0, std::size_t i1, std::size_t m,
-                           std::size_t n) {
-    const std::size_t n4 = n - n % 4;
-    std::size_t i = i0;
-    for (; i + k_mr <= i1; i += k_mr) {
-        float* d0 = dst + i * n;
-        float* d1 = d0 + n;
-        float* d2 = d1 + n;
-        float* d3 = d2 + n;
-        for (std::size_t kk = k0; kk < k1; ++kk) {
-            const float* arow = a + kk * m + i;
-            const float* brow = b + kk * n;
-            const float32x4_t av0 = vdupq_n_f32(arow[0]);
-            const float32x4_t av1 = vdupq_n_f32(arow[1]);
-            const float32x4_t av2 = vdupq_n_f32(arow[2]);
-            const float32x4_t av3 = vdupq_n_f32(arow[3]);
-            for (std::size_t j = 0; j < n4; j += 4) {
-                const float32x4_t bv = vld1q_f32(brow + j);
-                vst1q_f32(d0 + j, vfmaq_f32(vld1q_f32(d0 + j), av0, bv));
-                vst1q_f32(d1 + j, vfmaq_f32(vld1q_f32(d1 + j), av1, bv));
-                vst1q_f32(d2 + j, vfmaq_f32(vld1q_f32(d2 + j), av2, bv));
-                vst1q_f32(d3 + j, vfmaq_f32(vld1q_f32(d3 + j), av3, bv));
-            }
-            for (std::size_t j = n4; j < n; ++j) {
-                const float bv = brow[j];
-                d0[j] = std::fmaf(arow[0], bv, d0[j]);
-                d1[j] = std::fmaf(arow[1], bv, d1[j]);
-                d2[j] = std::fmaf(arow[2], bv, d2[j]);
-                d3[j] = std::fmaf(arow[3], bv, d3[j]);
-            }
-        }
-    }
-    for (; i < i1; ++i) {
-        float* di = dst + i * n;
-        for (std::size_t kk = k0; kk < k1; ++kk) {
-            const float av = a[kk * m + i];
-            const float* brow = b + kk * n;
-            const float32x4_t avv = vdupq_n_f32(av);
-            for (std::size_t j = 0; j < n4; j += 4) {
-                const float32x4_t bv = vld1q_f32(brow + j);
-                vst1q_f32(di + j, vfmaq_f32(vld1q_f32(di + j), avv, bv));
-            }
-            for (std::size_t j = n4; j < n; ++j) di[j] = std::fmaf(av, brow[j], di[j]);
-        }
-    }
-}
-
-#endif  // FALLSENSE_SIMD_X86 / FALLSENSE_SIMD_NEON
-
-using rank1_fn = void (*)(float*, const float*, const float*, std::size_t, std::size_t,
-                          std::size_t, std::size_t, std::size_t, std::size_t);
-
-rank1_fn rank1_kernel(simd_backend backend) {
-#if defined(FALLSENSE_SIMD_X86)
-    if (backend == simd_backend::avx512) return &rank1_accumulate_avx512;
-    if (backend == simd_backend::avx2_fma) return &rank1_accumulate_avx2;
-#elif defined(FALLSENSE_SIMD_NEON)
-    if (backend == simd_backend::neon) return &rank1_accumulate_neon;
-#else
-    (void)backend;
-#endif
-    return &rank1_accumulate;
 }
 
 /// Per-thread partial buffer for gemm_tn_acc, grown to its high-water
@@ -678,47 +370,50 @@ std::vector<float>& tn_acc_scratch() {
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a, const float* b,
              float* c, bool accumulate) {
     if (m == 0 || n == 0) return;
-    const gemm_ctx ctx{n,          k, a, b, c, /*bias=*/nullptr,
-                       accumulate, fused_act::none, active_simd_backend()};
+    const gemm_ctx ctx{n, k, a, b, c, /*bias=*/nullptr, accumulate, fused_act::none,
+                       &float_kernels_for(active_simd_backend())};
     gemm_nn_dispatch(m, ctx);
 }
 
 void gemm_nn_bias_act(std::size_t m, std::size_t n, std::size_t k, const float* a,
                       const float* b, const float* bias, fused_act act, float* c) {
     if (m == 0 || n == 0) return;
-    const gemm_ctx ctx{n,     k, a, b, c, bias,
-                       false, act, active_simd_backend()};
+    const gemm_ctx ctx{n, k, a, b, c, bias, /*accumulate=*/false, act,
+                       &float_kernels_for(active_simd_backend())};
     gemm_nn_dispatch(m, ctx);
 }
 
 void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const float* a, const float* b,
                  float* c) {
     if (m == 0 || n == 0 || k == 0) return;
-    const rank1_fn rank1 = rank1_kernel(active_simd_backend());
+    const float_kernels& kern = float_kernels_for(active_simd_backend());
     const std::size_t min_chunk = (k + k_max_reduce_chunks - 1) / k_max_reduce_chunks;
     const std::size_t chunk = std::max(k_reduce_grain, min_chunk);
     const std::size_t chunks = (k + chunk - 1) / chunk;
     if (chunks == 1) {
-        rank1(c, a, b, 0, k, 0, m, m, n);
+        gemm_rows(0, m, n, k, a_view{a, 1, m}, b, c, kern);
         return;
     }
     std::vector<float>& scratch = tn_acc_scratch();
     scratch.assign(chunks * m * n, 0.0f);
     // Single-reference capture keeps the dispatch closure inside the
     // std::function small-buffer store — steady-state training steps must
-    // not heap-allocate here (tests/serve/alloc_test.cpp).
+    // not heap-allocate here (tests/serve/alloc_test.cpp).  Each chunk
+    // reads the slice of A and B that starts at its first k.
     struct tn_ctx {
         float* scratch;
         const float* a;
         const float* b;
-        rank1_fn rank1;
+        const float_kernels* kern;
         std::size_t m, n;
     };
-    const tn_ctx ctx{scratch.data(), a, b, rank1, m, n};
+    const tn_ctx ctx{scratch.data(), a, b, &kern, m, n};
     util::parallel_for_chunks(0, k, chunk,
                               [&ctx](std::size_t ci, std::size_t lo, std::size_t hi) {
-                                  ctx.rank1(ctx.scratch + ci * ctx.m * ctx.n, ctx.a, ctx.b,
-                                            lo, hi, 0, ctx.m, ctx.m, ctx.n);
+                                  gemm_rows(0, ctx.m, ctx.n, hi - lo,
+                                            a_view{ctx.a + lo * ctx.m, 1, ctx.m},
+                                            ctx.b + lo * ctx.n,
+                                            ctx.scratch + ci * ctx.m * ctx.n, *ctx.kern);
                               });
     // Fixed chunk-index reduction order: bit-identical for any thread count.
     for (std::size_t ci = 0; ci < chunks; ++ci) {
@@ -802,21 +497,6 @@ __attribute__((target("avx2"))) void q8_axpy_avx2(std::size_t n, std::int32_t xv
     for (std::size_t j = n8; j < n; ++j) acc[j] += xv * static_cast<std::int32_t>(w[j]);
 }
 
-__attribute__((target("avx512f"))) void q8_axpy_avx512(std::size_t n, std::int32_t xv,
-                                                       const std::int8_t* w,
-                                                       std::int32_t* acc) {
-    const __m512i xvv = _mm512_set1_epi32(xv);
-    const std::size_t n16 = n - n % 16;
-    for (std::size_t j = 0; j < n16; j += 16) {
-        const __m128i w8 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + j));
-        const __m512i w32 = _mm512_cvtepi8_epi32(w8);
-        __m512i accv = _mm512_loadu_si512(reinterpret_cast<const void*>(acc + j));
-        accv = _mm512_add_epi32(accv, _mm512_mullo_epi32(xvv, w32));
-        _mm512_storeu_si512(reinterpret_cast<void*>(acc + j), accv);
-    }
-    for (std::size_t j = n16; j < n; ++j) acc[j] += xv * static_cast<std::int32_t>(w[j]);
-}
-
 #elif defined(FALLSENSE_SIMD_NEON)
 
 void q8_axpy_neon(std::size_t n, std::int32_t xv, const std::int8_t* w, std::int32_t* acc) {
@@ -837,9 +517,7 @@ void q8_axpy_neon(std::size_t n, std::int32_t xv, const std::int8_t* w, std::int
 
 q8_axpy_fn q8_axpy_kernel() {
 #if defined(FALLSENSE_SIMD_X86)
-    const simd_backend backend = active_simd_backend();
-    if (backend == simd_backend::avx512) return &q8_axpy_avx512;
-    if (backend == simd_backend::avx2_fma) return &q8_axpy_avx2;
+    if (active_simd_backend() == simd_backend::avx2_fma) return &q8_axpy_avx2;
 #elif defined(FALLSENSE_SIMD_NEON)
     if (active_simd_backend() == simd_backend::neon) return &q8_axpy_neon;
 #endif

@@ -17,14 +17,15 @@
 // (flattened [kernel*in_ch, out_ch]), dense weights [in, out], activations
 // row-major with the batch outermost.
 //
-// gemm_nn and gemm_nn_bias_act dispatch per call between the scalar loops
-// and vectorized row kernels (nn/simd.hpp: avx512 / avx2-fma / neon).
-// Scalar mode reproduces the legacy results bit for bit; native mode keeps
-// the same serial ascending-k order per element but fuses multiply-add
-// (FMA), so float results agree to rounding, not bits.  Every vector
-// backend issues the identical per-(row, j) fmadd sequence, so native
-// results are bit-identical ACROSS backends.  Within one mode, results
-// stay independent of thread count and of where a row sits in the batch.
+// gemm_nn, gemm_nn_bias_act and gemm_tn_acc share one quad and one
+// single-row kernel per tier, dispatched per call between the scalar loops
+// and the architecture's vector tier (nn/simd.hpp: avx2-fma or neon); the
+// kernels read A through a (row stride, k stride) pair, so the gradient
+// product Aᵀ·B needs no copy of its own.  Scalar mode reproduces the
+// legacy results bit for bit; native mode keeps the same serial
+// ascending-k order per element but fuses multiply-add (FMA), so float
+// results agree to rounding, not bits.  Within one mode, results stay
+// independent of thread count and of where a row sits in the batch.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +36,8 @@ namespace fallsense::nn {
 /// Activation a fused GEMM epilogue applies while the output tile is hot.
 /// `relu` and `sigmoid` reproduce the standalone activation layers'
 /// element operations exactly: relu is `x > 0 ? x : 0` in scalar mode and
-/// max(x, 0) in vector mode (identical on all non-NaN inputs and across
-/// vector backends); sigmoid always runs sigmoid_scalar per element, in
+/// max(x, 0) in vector mode (identical on all non-NaN inputs); sigmoid
+/// always runs sigmoid_scalar per element, in
 /// every mode, so fusing it never changes a probability.
 enum class fused_act : std::uint8_t {
     none,
@@ -73,12 +74,12 @@ q8_axpy_fn q8_axpy_kernel();
 
 /// C[m x n] += A[k x m]ᵀ · B[k x n] — the weight-gradient product (reduction
 /// over the batch·time dimension k).  Deterministic chunked reduction; see
-/// the file comment.  Dispatches like gemm_nn: scalar mode reproduces the
-/// legacy gradient bits, native mode uses per-backend fmadd rank-1 updates
-/// with the same chunk boundaries and reduction order, so gradients are
-/// bit-identical across thread counts per backend (and across vector
-/// backends).  Reuses a thread-local partial buffer: steady-state training
-/// steps perform no allocation here.
+/// the file comment.  Runs gemm_nn's row kernels over Aᵀ, so within one
+/// reduction chunk (k <= 256) it is bit-identical to gemm_nn over the
+/// explicit transpose; across chunks the boundaries and reduction order
+/// are shape-only, so gradients are bit-identical across thread counts in
+/// either mode.  Reuses a thread-local partial buffer: steady-state
+/// training steps perform no allocation here.
 void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const float* a, const float* b,
                  float* c);
 

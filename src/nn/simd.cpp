@@ -9,37 +9,27 @@ namespace fallsense::nn {
 namespace {
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-simd_backend probe_best_backend() {
-    if (__builtin_cpu_supports("avx512f")) return simd_backend::avx512;
+simd_backend probe_backend() {
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
         return simd_backend::avx2_fma;
     }
     return simd_backend::scalar;
 }
 #elif defined(__aarch64__) && defined(__ARM_NEON)
-simd_backend probe_best_backend() { return simd_backend::neon; }  // NEON is baseline.
+simd_backend probe_backend() { return simd_backend::neon; }  // NEON is baseline.
 #else
-simd_backend probe_best_backend() { return simd_backend::scalar; }
+simd_backend probe_backend() { return simd_backend::scalar; }
 #endif
 
-simd_backend best_backend() {
-    static const simd_backend best = probe_best_backend();
-    return best;
+simd_backend probed_backend() {
+    static const simd_backend probed = probe_backend();
+    return probed;
 }
 
 /// Requested mode, resolved lazily: -1 = uninitialized, else simd_mode.
 /// An unset or unrecognized FALLSENSE_SIMD value means scalar — the
 /// deterministic default; tools reject bad --simd values loudly instead.
 std::atomic<int> g_requested{-1};
-
-/// Backend cap, resolved lazily: -1 = uninitialized, else simd_backend.
-/// Defaults to the best probed backend; FALLSENSE_SIMD_BACKEND or
-/// set_simd_backend_cap() lowers it (CI pins per-tier legs, benches pin
-/// per-backend rows).  An unrecognized env value is ignored.
-std::atomic<int> g_backend_cap{-1};
-
-/// Epilogue fusion: -1 = uninitialized, else 0/1.
-std::atomic<int> g_fuse{-1};
 
 simd_mode requested_mode() {
     int cached = g_requested.load(std::memory_order_relaxed);
@@ -55,20 +45,6 @@ simd_mode requested_mode() {
     return static_cast<simd_mode>(cached);
 }
 
-simd_backend backend_cap() {
-    int cached = g_backend_cap.load(std::memory_order_relaxed);
-    if (cached < 0) {
-        simd_backend cap = best_backend();
-        const std::string text = util::env_string("FALLSENSE_SIMD_BACKEND");
-        if (!text.empty()) {
-            if (const auto parsed = parse_simd_backend(text)) cap = *parsed;
-        }
-        cached = static_cast<int>(cap);
-        g_backend_cap.store(cached, std::memory_order_relaxed);
-    }
-    return static_cast<simd_backend>(cached);
-}
-
 }  // namespace
 
 const char* simd_mode_name(simd_mode mode) {
@@ -79,7 +55,6 @@ const char* simd_backend_label(simd_backend backend) {
     switch (backend) {
         case simd_backend::neon: return "neon";
         case simd_backend::avx2_fma: return "avx2-fma";
-        case simd_backend::avx512: return "avx512";
         case simd_backend::scalar: break;
     }
     return "scalar";
@@ -91,71 +66,24 @@ std::optional<simd_mode> parse_simd_mode(const std::string& text) {
     return std::nullopt;
 }
 
-std::optional<simd_backend> parse_simd_backend(const std::string& text) {
-    if (text == "scalar") return simd_backend::scalar;
-    if (text == "neon") return simd_backend::neon;
-    if (text == "avx2-fma") return simd_backend::avx2_fma;
-    if (text == "avx512") return simd_backend::avx512;
-    return std::nullopt;
-}
+bool simd_native_available() { return probed_backend() != simd_backend::scalar; }
 
-bool simd_native_available() { return best_backend() != simd_backend::scalar; }
-
-const char* simd_backend_name() { return simd_backend_label(best_backend()); }
+const char* simd_backend_name() { return simd_backend_label(probed_backend()); }
 
 simd_mode active_simd_mode() {
-    const simd_mode mode = requested_mode();
-    if (mode == simd_mode::native && active_simd_backend() == simd_backend::scalar) {
-        return simd_mode::scalar;
-    }
-    return mode;
+    return active_simd_backend() == simd_backend::scalar ? simd_mode::scalar : simd_mode::native;
 }
 
 simd_backend active_simd_backend() {
-    if (requested_mode() != simd_mode::native) return simd_backend::scalar;
-    const simd_backend best = best_backend();
-    const simd_backend cap = backend_cap();
-    // The cap can only select a tier the host supports: every tier below
-    // the probed best is executable (avx512 hosts run avx2-fma; any host
-    // runs scalar), and a cap above it degrades to the probed best.
-    return cap < best ? cap : best;
+    return requested_mode() == simd_mode::native ? probed_backend() : simd_backend::scalar;
 }
 
 const char* active_simd_backend_name() {
     return simd_backend_label(active_simd_backend());
 }
 
-std::vector<simd_backend> available_simd_backends() {
-    std::vector<simd_backend> backends{simd_backend::scalar};
-    const simd_backend best = best_backend();
-    if (best == simd_backend::neon) backends.push_back(simd_backend::neon);
-    if (best >= simd_backend::avx2_fma && best != simd_backend::neon) {
-        backends.push_back(simd_backend::avx2_fma);
-    }
-    if (best == simd_backend::avx512) backends.push_back(simd_backend::avx512);
-    return backends;
-}
-
 void set_simd_mode(simd_mode mode) {
     g_requested.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-void set_simd_backend_cap(simd_backend cap) {
-    g_backend_cap.store(static_cast<int>(cap), std::memory_order_relaxed);
-}
-
-bool epilogue_fusion_enabled() {
-    int cached = g_fuse.load(std::memory_order_relaxed);
-    if (cached < 0) {
-        const std::string text = util::env_string("FALLSENSE_FUSE_EPILOGUE");
-        cached = (text == "0" || text == "off" || text == "false") ? 0 : 1;
-        g_fuse.store(cached, std::memory_order_relaxed);
-    }
-    return cached != 0;
-}
-
-void set_epilogue_fusion(bool enabled) {
-    g_fuse.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
 }  // namespace fallsense::nn

@@ -1,15 +1,15 @@
 // Runtime SIMD dispatch for the nn/quant GEMM microkernels.
 //
-// The hot kernels (gemm_nn row updates, the fused bias+activation GEMM,
-// the gradient reduction rank-1 updates, the int8 accumulator axpy) exist
-// in several flavors: the scalar reference loops — the bit-exact
-// determinism baseline every golden manifest is pinned to — and vectorized
-// variants compiled behind target attributes and selected at runtime from
-// a one-time CPU-feature probe.
+// The hot kernels (the GEMM row updates shared by gemm_nn, the fused
+// bias+activation GEMM and the gradient reduction, and the int8
+// accumulator axpy) exist in two flavors: the scalar reference loops —
+// the bit-exact determinism baseline every golden manifest is pinned to —
+// and one vectorized tier per architecture, compiled behind target
+// attributes and selected at runtime from a one-time CPU-feature probe.
 //
-// Backends, best-first per architecture:
-//   x86-64:  avx512 (AVX-512F) -> avx2-fma (AVX2+FMA) -> scalar
-//   aarch64: neon -> scalar
+// Vector tier per architecture:
+//   x86-64:  avx2-fma (AVX2+FMA)
+//   aarch64: neon
 //
 // Mode resolution, in priority order:
 //   1. set_simd_mode() — tools expose it as `--simd scalar|native`.
@@ -19,23 +19,13 @@
 //      byte-identical to the pre-dispatch kernels.  (Int8 kernels are
 //      bit-identical in either mode — integer sums are exact.)
 //
-// Backend resolution inside native mode: the best probed backend, capped
-// by set_simd_backend_cap() / the FALLSENSE_SIMD_BACKEND env var (benches
-// use the cap to measure every backend the host supports, CI uses it to
-// pin a leg to one tier).  Requesting `native` on a host whose CPU (or
-// compiler) lacks any vector ISA silently degrades to the scalar kernels:
-// `active_simd_mode()` / `active_simd_backend()` report what will
-// actually execute.
-//
-// Every vector backend issues the identical per-element fused
-// multiply-add sequence (one fmadd per reduction step, ascending k), so
-// float results are bit-identical ACROSS vector backends — "native" is a
-// single golden surface per problem, distinct from scalar only.
+// Requesting `native` on a host whose CPU (or compiler) lacks the vector
+// tier silently degrades to the scalar kernels: `active_simd_mode()` /
+// `active_simd_backend()` report what will actually execute.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace fallsense::nn {
 
@@ -44,32 +34,28 @@ enum class simd_mode {
     native,  ///< vectorized kernels for the probed host ISA
 };
 
-/// Vector kernel tiers, ordered worst-to-best within an architecture.
+/// Kernel tiers: scalar plus the one vector tier of each architecture.
 enum class simd_backend {
-    scalar = 0,
-    neon = 1,      ///< aarch64 baseline
-    avx2_fma = 2,  ///< x86-64 AVX2+FMA
-    avx512 = 3,    ///< x86-64 AVX-512F
+    scalar,
+    neon,      ///< aarch64 baseline
+    avx2_fma,  ///< x86-64 AVX2+FMA
 };
 
 const char* simd_mode_name(simd_mode mode);
 
-/// Canonical backend label: "scalar" / "neon" / "avx2-fma" / "avx512".
+/// Canonical backend label: "scalar" / "neon" / "avx2-fma".
 const char* simd_backend_label(simd_backend backend);
 
 /// Parse "scalar" / "native"; anything else returns nullopt.
 std::optional<simd_mode> parse_simd_mode(const std::string& text);
 
-/// Parse a backend label; anything else returns nullopt.
-std::optional<simd_backend> parse_simd_backend(const std::string& text);
-
 /// True when a vector backend is compiled in AND the running CPU supports
 /// it (probed once, cached).
 bool simd_native_available();
 
-/// Name of the best vector backend `native` mode could run: "avx512",
-/// "avx2-fma", "neon", or "scalar" when no vector backend is available.
-/// Ignores the cap — this is the hardware probe, not the resolution.
+/// Name of the vector backend `native` mode would run: "avx2-fma",
+/// "neon", or "scalar" when no vector backend is available.  This is the
+/// hardware probe, independent of the requested mode.
 const char* simd_backend_name();
 
 /// The mode the kernels will actually execute: the requested mode,
@@ -77,33 +63,14 @@ const char* simd_backend_name();
 simd_mode active_simd_mode();
 
 /// The backend the kernels will actually execute right now: scalar when
-/// the active mode is scalar, otherwise the best probed backend capped by
-/// set_simd_backend_cap() / FALLSENSE_SIMD_BACKEND.
+/// the active mode is scalar, otherwise the probed vector backend.
 simd_backend active_simd_backend();
 
 /// Label of active_simd_backend() — what bench/obs manifests record as
 /// the *resolved* `simd` field.
 const char* active_simd_backend_name();
 
-/// Every backend the host can execute, worst-first, starting with scalar
-/// (always present).  Benches iterate this to emit one row per backend.
-std::vector<simd_backend> available_simd_backends();
-
 /// Override the requested mode for this process (tools' --simd flag).
 void set_simd_mode(simd_mode mode);
-
-/// Cap native-mode resolution at `cap` (degrading further if the host
-/// lacks it).  Benches pin one backend per row with this; pass the best
-/// probed backend (or simd_backend::avx512) to restore the default.
-void set_simd_backend_cap(simd_backend cap);
-
-/// True when the workspace planners may collapse Conv->ReLU / Dense->ReLU
-/// (and ->sigmoid) pairs into one fused bias+activation kernel call.
-/// Defaults to on; FALLSENSE_FUSE_EPILOGUE=0 (or off/false) disables it,
-/// and set_epilogue_fusion() overrides either way.  Scalar-mode fused
-/// results are bit-identical to unfused, so this is a debugging and
-/// benchmarking switch, not a numerics switch.
-bool epilogue_fusion_enabled();
-void set_epilogue_fusion(bool enabled);
 
 }  // namespace fallsense::nn

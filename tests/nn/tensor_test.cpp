@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 namespace fallsense::nn {
 namespace {
 
@@ -125,22 +127,22 @@ TEST(TensorTest, ShapeInlineAndHeapRanks) {
 
 TEST(TensorTest, BufferPoolRecyclesStorage) {
     // A destroyed tensor donates its buffer to the thread-local pool; the
-    // next same-size acquisition reuses it (zero-filled).  Skipped when the
-    // pool is disabled via FALLSENSE_TENSOR_POOL.
-    const float* first = nullptr;
-    {
-        tensor t({16, 16});
-        t.fill(3.5f);
-        first = t.data();
-    }
-    tensor reuse({16, 16});
-    if (reuse.data() == first) {
+    // next same-size acquisition reuses it, zero-filled.  A fresh thread
+    // starts with an empty pool, so the donated buffer is the only fit.
+    std::thread([] {
+        const float* first = nullptr;
+        {
+            tensor t({16, 16});
+            t.fill(3.5f);
+            first = t.data();
+        }
+        tensor reuse({16, 16});
+        EXPECT_EQ(reuse.data(), first) << "destroyed tensor's buffer must be recycled";
+        ASSERT_EQ(reuse.size(), 256u);
         for (std::size_t i = 0; i < reuse.size(); ++i) {
             ASSERT_EQ(reuse[i], 0.0f) << "recycled buffer must be re-zeroed";
         }
-    }
-    // Whether or not the buffer came back from the pool, semantics hold.
-    EXPECT_EQ(reuse.size(), 256u);
+    }).join();
 }
 
 TEST(TensorTest, MoveAndCopyKeepPoolSemantics) {

@@ -480,7 +480,7 @@ void write_metrics_manifest(const util::arg_parser& args, const std::string& com
         const auto value = args.option(opt);
         if (!value) continue;
         // --simd records the backend the dispatcher RESOLVED on this host
-        // (scalar / neon / avx2-fma / avx512), not the requested mode —
+        // (scalar / neon / avx2-fma), not the requested mode —
         // the manifest names what actually ran.  Without the flag the
         // entry is omitted entirely, so manifests from runs differing
         // only in the FALLSENSE_SIMD environment stay byte-identical

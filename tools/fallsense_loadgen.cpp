@@ -305,8 +305,8 @@ int main(int argc, char** argv) {
                 const auto value = args.option(opt);
                 if (!value) continue;
                 // --simd echoes the RESOLVED backend (scalar / neon /
-                // avx2-fma / avx512), not the requested mode; omitted
-                // without the flag so env-only runs stay byte-diffable.
+                // avx2-fma), not the requested mode; omitted without the
+                // flag so env-only runs stay byte-diffable.
                 if (std::string(opt) == "simd") {
                     manifest.config.emplace_back(opt, nn::active_simd_backend_name());
                 } else {
